@@ -247,13 +247,32 @@ class Ens1371Device:
         if region is None:
             return
         size_bytes = (self.dac2_frame_size + 1) * 4
-        for i in range(0, nbytes, 4):
-            pos = (self.dac2_pos_bytes + i) % size_bytes
-            word = struct.unpack_from("<I", region.data, off + pos)[0] \
-                if off + pos + 4 <= len(region.data) else 0
-            self.audio_checksum = (self.audio_checksum + word) & 0xFFFFFFFF
-        self.dac2_pos_bytes = (self.dac2_pos_bytes + nbytes) % size_bytes
+        start = self.dac2_pos_bytes
+        total = _ring_word_sum(region.data, off, size_bytes,
+                               start % size_bytes, (nbytes + 3) // 4)
+        self.audio_checksum = (self.audio_checksum + total) & 0xFFFFFFFF
+        self.dac2_pos_bytes = (start + nbytes) % size_bytes
 
     def ack_interrupt(self):
         """Driver acknowledges by toggling P2_INTR_EN; model helper."""
         self.status &= ~(STAT_INTR | STAT_DAC2)
+
+
+def _ring_word_sum(data, base, ring_bytes, pos, count):
+    """Sum ``count`` u32 words read round a DMA ring, one piece per lap.
+
+    The ring is ``ring_bytes`` long at ``data[base:]``; reading starts
+    ``pos`` bytes in and steps 4 bytes a word, wrapping to ``pos % 4``
+    at the ring's end.  A word whose 4 bytes run past the end of
+    ``data`` reads as 0.
+    """
+    limit = len(data) - base
+    total = 0
+    while count > 0:
+        n = min(count, (ring_bytes - pos + 3) // 4)  # words before the wrap
+        valid = min(n, (limit - pos) // 4)
+        if valid > 0:
+            total += sum(struct.unpack_from("<%dI" % valid, data, base + pos))
+        count -= n
+        pos = pos + 4 * n - ring_bytes
+    return total

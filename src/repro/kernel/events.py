@@ -15,6 +15,9 @@ from .errors import SimulationError
 
 _VALID_CONTEXTS = (HARDIRQ, SOFTIRQ, PROCESS)
 
+#: ``next_due_time()`` of an empty queue; far beyond any simulated time.
+NEVER_NS = 1 << 62
+
 
 class Event:
     """A scheduled callback; cancellable, single-shot."""
@@ -223,20 +226,31 @@ class EventQueue:
             self._clock.now_ns + max(0, delay_ns), callback, context, name
         )
 
-    def _peek_heap(self):
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0] if self._heap else None
+    def next_due_time(self):
+        """Virtual time of the next live event, or :data:`NEVER_NS`.
+
+        The one next-due derivation behind ``next_due_memo``: the heap
+        head (cancelled entries popped on the way) against the wheel's
+        front timer.  The compiled accessors in ``kernel/fastpath.py``
+        re-derive the memo through it.
+        """
+        heap = self._heap
+        while heap and heap[0].cancelled:
+            heapq.heappop(heap)
+        nxt = heap[0].time_ns if heap else NEVER_NS
+        wheel = self._wheel
+        if wheel._live:
+            front = wheel._front
+            if front is None or front.wheel is not wheel:
+                front = wheel.peek_event()
+            if front is not None and front.time_ns < nxt:
+                nxt = front.time_ns
+        return nxt
 
     def peek_time(self):
         """Virtual time of the next live event, or None."""
-        head = self._peek_heap()
-        timer = self._wheel.peek_event() if self._wheel._live else None
-        if head is None:
-            return timer.time_ns if timer is not None else None
-        if timer is None or head < timer:
-            return head.time_ns
-        return timer.time_ns
+        nxt = self.next_due_time()
+        return None if nxt == NEVER_NS else nxt
 
     def pop_due(self, target_ns):
         """Pop the next live event due at or before ``target_ns``."""

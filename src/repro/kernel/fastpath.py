@@ -29,7 +29,8 @@ The next-due check itself is amortized through the event queue's
 ``next_due_memo`` -- a lower bound on the next live event's time that
 every insert resets.  While ``target < memo`` the accessor advances the
 clock with a single comparison; only the first access after an insert
-(or after a dispatch) re-derives the bound from the heap and wheel.
+(or after a dispatch) re-derives the bound, through
+``EventQueue.next_due_time``.
 
 Device models may expose ``reg_reader(off, size)`` /
 ``reg_writer(off, size)`` hooks returning a specialized closure for one
@@ -52,10 +53,12 @@ the measured baseline.
 
 import heapq
 
-_heappop = heapq.heappop
+from .events import NEVER_NS
 
-# Sentinel "no event anywhere" bound; far beyond any simulated time.
-_FAR = 1 << 62
+# Re-exported for the drivers' own compiled loops, which inline the
+# next-due scan instead of calling ``EventQueue.next_due_time``.
+_FAR = NEVER_NS
+_heappop = heapq.heappop
 
 
 class FastIo:
@@ -115,9 +118,7 @@ class FastIo:
         pending = self._pending
         clock = kernel.clock
         events = kernel.events
-        heap = events._heap
-        wheel = events._wheel
-        wheel_peek = wheel.peek_event
+        next_due = events.next_due_time
         memo = events.next_due_memo
         consume = kernel.consume
         wedged = io._wedged
@@ -136,20 +137,7 @@ class FastIo:
                     clock._now_ns = target
                     pending[0] += cost
                 else:
-                    nxt = _FAR
-                    while heap:
-                        head = heap[0]
-                        if head.cancelled:
-                            _heappop(heap)
-                            continue
-                        nxt = head.time_ns
-                        break
-                    if wheel._live:
-                        front = wheel._front
-                        if front is None or front.wheel is not wheel:
-                            front = wheel_peek()
-                        if front is not None and front.time_ns < nxt:
-                            nxt = front.time_ns
+                    nxt = next_due()
                     if nxt <= target:
                         flush()
                         consume(cost, True, category)
@@ -183,9 +171,7 @@ class FastIo:
         pending = self._pending
         clock = kernel.clock
         events = kernel.events
-        heap = events._heap
-        wheel = events._wheel
-        wheel_peek = wheel.peek_event
+        next_due = events.next_due_time
         memo = events.next_due_memo
         consume = kernel.consume
         wedged = io._wedged
@@ -203,20 +189,7 @@ class FastIo:
                     clock._now_ns = target
                     pending[0] += cost
                 else:
-                    nxt = _FAR
-                    while heap:
-                        head = heap[0]
-                        if head.cancelled:
-                            _heappop(heap)
-                            continue
-                        nxt = head.time_ns
-                        break
-                    if wheel._live:
-                        front = wheel._front
-                        if front is None or front.wheel is not wheel:
-                            front = wheel_peek()
-                        if front is not None and front.time_ns < nxt:
-                            nxt = front.time_ns
+                    nxt = next_due()
                     if nxt <= target:
                         flush()
                         consume(cost, True, category)

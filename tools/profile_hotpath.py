@@ -88,10 +88,10 @@ def profile_fleet(args):
 
     Same bucket attribution as the single-rig path, but the workload is
     the ISSUE-9 fleet: N devices across five families on one kernel,
-    with churn and fault injection interleaved.  The headline number is
-    the device-model fraction -- harness overhead must stay a minority
-    cost, so optimization targets are whatever non-device buckets float
-    to the top here.
+    with churn and fault injection interleaved.  The fleet bench gates
+    sustained events/s and the harness's own share of the profile; the
+    device-model fraction printed here is context, not a target --
+    optimization targets are whatever buckets float to the top.
     """
     from repro.fleet import FleetHarness, FleetSpec
 
