@@ -18,12 +18,16 @@ def trend():
     return module
 
 
-def _write_benches(root, datapath_speedup=2.5, health_always_on=0.002):
+def _pps(side, value):
+    return {side: {"rescaled_packets_per_sec": value}}
+
+
+def _write_benches(root, e1000_compiled_pps=170_000, health_always_on=0.002):
     (root / "BENCH_datapath.json").write_text(json.dumps({
-        "e1000_compiled": {"wall_speedup": datapath_speedup},
-        "rtl8139_compiled": {"wall_speedup": 2.2},
-        "e1000_recv": {"wall_speedup": 2.3},
-        "rtl8139_recv": {"wall_speedup": 1.1},
+        "e1000_compiled": _pps("compiled", e1000_compiled_pps),
+        "rtl8139_compiled": _pps("compiled", 200_000),
+        "e1000_recv": _pps("napi", 110_000),
+        "rtl8139_recv": _pps("napi", 44_000),
     }))
     (root / "BENCH_trace.json").write_text(json.dumps({
         "netperf_recv_e1000": {"disabled_overhead_fraction": 0.002},
@@ -49,7 +53,8 @@ def test_all_bounds_held(trend, tmp_path, capfd):
 
 
 def test_floor_violation_fails(trend, tmp_path, capfd):
-    _write_benches(tmp_path, datapath_speedup=1.5)   # under the 2.0 floor
+    # Under the 128,300 rescaled pkts/s floor.
+    _write_benches(tmp_path, e1000_compiled_pps=100_000)
     assert trend.main(["--dir", str(tmp_path), "--fail"]) == 1
     out = capfd.readouterr().out
     assert "VIOLATED" in out

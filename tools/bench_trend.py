@@ -27,10 +27,17 @@ import sys
 # asserts inside the benchmark suites; the table shows drift *toward*
 # a bound before the suite itself goes red.
 FLOORS = [
-    ("BENCH_datapath.json", "e1000_compiled.wall_speedup", 2.0, "floor"),
-    ("BENCH_datapath.json", "rtl8139_compiled.wall_speedup", 2.0, "floor"),
-    ("BENCH_datapath.json", "e1000_recv.wall_speedup", 2.0, "floor"),
-    ("BENCH_datapath.json", "rtl8139_recv.wall_speedup", 1.0, "floor"),
+    # Fast-side wall pkts/s rescaled to the reference host speed.
+    ("BENCH_datapath.json",
+     "e1000_recv.napi.rescaled_packets_per_sec", 82_500, "floor"),
+    ("BENCH_datapath.json",
+     "rtl8139_recv.napi.rescaled_packets_per_sec", 33_000, "floor"),
+    ("BENCH_datapath.json",
+     "e1000_compiled.compiled.rescaled_packets_per_sec", 128_300,
+     "floor"),
+    ("BENCH_datapath.json",
+     "rtl8139_compiled.compiled.rescaled_packets_per_sec", 149_800,
+     "floor"),
     ("BENCH_trace.json",
      "netperf_recv_e1000.disabled_overhead_fraction", 0.03, "ceiling"),
     ("BENCH_health.json",
