@@ -55,7 +55,7 @@ _spec.loader.exec_module(calibrate)
 HOST_CHUNKS = 8
 
 # Floors on the fast side's rescaled wall pkts/s (reference host speed,
-# see module docstring): 75% of the median of 5 runs of the commit
+# see module docstring): 75% of the median of six runs of the commit
 # that introduced them, before Kernel.consume's next-due shortcut
 # (EXPERIMENTS.md "Compiled loop ablation").
 FAST_SIDE_FLOORS = {

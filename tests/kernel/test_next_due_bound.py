@@ -5,7 +5,9 @@ lies before the event queue's ``next_due_memo``; on a miss it
 re-derives the bound through ``EventQueue.next_due_time`` (heap head
 past cancelled entries, against the timer wheel's front) and only
 falls back to ``Kernel.consume`` when an event is due.  These cases pin
-the edges of that shortcut.
+the edges of that shortcut.  ``Kernel.consume`` is the memo's second
+user, with the same check on every advance; its edges are pinned in
+``test_consume_shortcut.py``.
 """
 
 from repro.kernel import make_kernel
