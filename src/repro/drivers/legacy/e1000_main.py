@@ -920,16 +920,15 @@ def _build_compiled_intr(adapter):
     Under NAPI the handler only acks ICR, masks, and schedules the
     poll, so the compiled form is a thin accessor chain.  In the
     per-packet-interrupt ablation (``napi=False``) the handler IS the
-    datapath: on a single-CPU kernel the whole
-    ``e1000_intr`` -> ``e1000_clean_rx_irq(budget=None)`` chain is
-    inlined -- ICR read, per-packet ``netif_rx`` stack charge (a
-    consume sequence point at the exact interpreted cost), descriptor
-    decode, and the RDT hand-backs -- with the batched bookkeeping
-    held in plain locals.  Observably identical to the interpreted
-    path: same register access order and taps, same clock advances,
-    same counters.
+    datapath: the ``e1000_intr`` -> ``e1000_clean_rx_irq(budget=None)``
+    chain is one closure, on 1 and N CPUs alike -- ICR read and RDT
+    hand-backs through pre-bound accessors, the per-packet ``netif_rx``
+    stack charge through a batched step (a consume sequence point at
+    the exact interpreted cost), descriptor decode inline.  Observably
+    identical to the interpreted path: same register access order and
+    taps, same clock advances, same counters.
     """
-    from ...kernel.fastpath import FastIo, _FAR, _heappop
+    from ...kernel.fastpath import FastIo
     from ...kernel.netdev import SkBuff
 
     kernel = linux.kernel
@@ -941,9 +940,7 @@ def _build_compiled_intr(adapter):
     hw_addr = hw.hw_addr
     fio = FastIo(kernel, is_mmio=True)
     read_icr = fio.reader(hw_addr + e1000_hw.ICR, 4)
-    write_imc = fio.writer(hw_addr + e1000_hw.IMC, 4)
     flush_io = fio.flush
-    napi_schedule = linux.napi_schedule
     mod_timer = linux.mod_timer
     watchdog = _state.watchdog_timer
     IRQ_NONE = linux.IRQ_NONE
@@ -951,9 +948,12 @@ def _build_compiled_intr(adapter):
     LSC = e1000_hw.E1000_ICR_LSC
     RX_CAUSES = e1000_hw.E1000_ICR_RXT0 | e1000_hw.E1000_ICR_RXDMT0
     TXDW = e1000_hw.E1000_ICR_TXDW
-    WORK_CAUSES = RX_CAUSES | TXDW
 
     if napi_mode:
+        write_imc = fio.writer(hw_addr + e1000_hw.IMC, 4)
+        napi_schedule = linux.napi_schedule
+        WORK_CAUSES = RX_CAUSES | TXDW
+
         def intr(irq, dev_id):
             icr = read_icr()
             if not icr:
@@ -977,72 +977,17 @@ def _build_compiled_intr(adapter):
 
         return intr
 
-    if kernel.nr_cpus > 1:
-        # SMP per-packet-interrupt mode: keep the interpreted clean
-        # loops (their consumes must route through the CPU-targeted
-        # deferral branch); only the ICR access chain is pre-bound.
-        def intr(irq, dev_id):
-            icr = read_icr()
-            if not icr:
-                flush_io()
-                return IRQ_NONE
-            if icr & LSC:
-                hw.get_link_status = 1
-                mod_timer(watchdog, 1)
-            if icr & RX_CAUSES:
-                e1000_clean_rx_irq(adapter, rx_ring)
-            if icr & TXDW:
-                e1000_clean_tx_irq(adapter, tx_ring)
-            flush_io()
-            return IRQ_HANDLED
-
-        return intr
-
-    # Single-CPU per-packet-interrupt mode: the fully inlined variant.
-    io = kernel.io
-    clock = kernel.clock
-    events = kernel.events
-    heap = events._heap
-    wheel = events._wheel
-    wheel_peek = wheel.peek_event
-    memo = events.next_due_memo
-    consume = kernel.consume
-    wedged = io._wedged
-    agg = kernel.cpu
-    acct = kernel.current_cpu.acct
-    charge_cpu = agg.charge
-    charge_acct = acct.charge
-    # Accounting internals, pre-bound for the once-per-interrupt flush
-    # (both dicts are created once and never replaced).
-    agg_cat = agg._by_category
-    acct_cat = acct._by_category
+    write_rdt = fio.writer(hw_addr + e1000_hw.RDT, 4)
+    stack_step = fio.stepper("netstack")
     costs = kernel.costs
-    c_mmio = costs.mmio_ns
     stack_fixed = costs.rx_packet_cpu_ns
     stack_per_byte = costs.byte_copy_ns + costs.rx_user_copy_byte_ns
-    icr_addr = hw_addr + e1000_hw.ICR
-    rdt_addr = hw_addr + e1000_hw.RDT
-    region = io._find(icr_addr, 4, True)
-    handler = region.handler
-    rname = region.name
-    icr_off = icr_addr - region.base
-    rdt_off = rdt_addr - region.base
-    mk_r = getattr(handler, "reg_reader", None)
-    dev_read_icr = mk_r(icr_off, 4) if mk_r is not None else None
-    if dev_read_icr is None:
-        dev_read_icr = lambda: handler.read(icr_off, 4)  # noqa: E731
-    mk_w = getattr(handler, "reg_writer", None)
-    dev_write_rdt = mk_w(rdt_off, 4) if mk_w is not None else None
-    if dev_write_rdt is None:
-        dev_write_rdt = \
-            lambda v: handler.write(rdt_off, v, 4)  # noqa: E731
     rx_desc = rx_ring.desc.data
     rx_count = rx_ring.count
     buffers = memoryview(rx_ring.buffer_region.data)
     rx_buffer_len = adapter.rx_buffer_len
     net_stats = adapter.net_stats
     dev_stats = netdev.stats
-    M32 = 0xFFFFFFFF
     # CStruct writes bypass the __setattr__ descriptor on the hot
     # fields: a raw instance-dict store plus the dirty-mark is the
     # exact effect of the descriptor, minus the dispatch.  Both the
@@ -1053,57 +998,15 @@ def _build_compiled_intr(adapter):
     net_stats_dirty = net_stats._dirty_fields.add
 
     def intr(irq, dev_id):
-        pend_io_ns = 0
-        pend_io_n = 0
-        pend_stack_ns = 0
-        # -- ICR read: inlined compiled accessor --
-        pend_io_n += 1
-        target = clock._now_ns + c_mmio
-        if target < memo[0]:
-            clock._now_ns = target
-            pend_io_ns += c_mmio
-        else:
-            nxt = _FAR
-            while heap:
-                head = heap[0]
-                if head.cancelled:
-                    _heappop(heap)
-                    continue
-                nxt = head.time_ns
-                break
-            if wheel._live:
-                front = wheel._front
-                if front is None or front.wheel is not wheel:
-                    front = wheel_peek()
-                if front is not None and front.time_ns < nxt:
-                    nxt = front.time_ns
-            if nxt <= target:
-                io.mmio_accesses += pend_io_n
-                pend_io_n = 0
-                consume(c_mmio, True, "io")
-            else:
-                memo[0] = nxt
-                clock._now_ns = target
-                pend_io_ns += c_mmio
-        if wedged and icr_addr in wedged:
-            icr = wedged[icr_addr] & M32
-        else:
-            icr = dev_read_icr() & M32
-            tap = io.trace_tap
-            if tap is not None:
-                tap("r", rname, icr_off, 4, icr)
+        icr = read_icr()
         if not icr:
-            if pend_io_n:
-                io.mmio_accesses += pend_io_n
-            if pend_io_ns:
-                charge_cpu(pend_io_ns, "io")
-                charge_acct(pend_io_ns, "io")
+            flush_io()
             return IRQ_NONE
         if icr & LSC:
             hw.get_link_status = 1
             mod_timer(watchdog, 1)
         if icr & RX_CAUSES:
-            # -- inlined e1000_clean_rx_irq(budget=None): netif_rx path --
+            # e1000_clean_rx_irq(budget=None): the netif_rx path.
             sink = net.rx_sink
             cleaned = 0
             cleaned_bytes = 0
@@ -1114,47 +1017,10 @@ def _build_compiled_intr(adapter):
                     break
                 length = rx_desc[base + 8] | rx_desc[base + 9] << 8
                 buf_off = i * rx_buffer_len
-                frame = bytes(buffers[buf_off:buf_off + length])
-                skb = SkBuff(frame)
-                # Inlined netif_rx: the per-packet stack consume is a
-                # sequence point at the exact interpreted cost.
-                cost = int(stack_fixed + length * stack_per_byte)
-                target = clock._now_ns + cost
-                if target < memo[0]:
-                    clock._now_ns = target
-                    pend_stack_ns += cost
-                else:
-                    nxt = _FAR
-                    while heap:
-                        head = heap[0]
-                        if head.cancelled:
-                            _heappop(heap)
-                            continue
-                        nxt = head.time_ns
-                        break
-                    if wheel._live:
-                        front = wheel._front
-                        if front is None or front.wheel is not wheel:
-                            front = wheel_peek()
-                        if front is not None and front.time_ns < nxt:
-                            nxt = front.time_ns
-                    if nxt <= target:
-                        if pend_io_n:
-                            io.mmio_accesses += pend_io_n
-                            pend_io_n = 0
-                        if pend_io_ns:
-                            charge_cpu(pend_io_ns, "io")
-                            charge_acct(pend_io_ns, "io")
-                            pend_io_ns = 0
-                        if pend_stack_ns:
-                            charge_cpu(pend_stack_ns, "netstack")
-                            charge_acct(pend_stack_ns, "netstack")
-                            pend_stack_ns = 0
-                        consume(cost, True, "netstack")
-                    else:
-                        memo[0] = nxt
-                        clock._now_ns = target
-                        pend_stack_ns += cost
+                skb = SkBuff(bytes(buffers[buf_off:buf_off + length]))
+                # Inlined netif_rx; the stack counters land after the
+                # loop.
+                stack_step(int(stack_fixed + length * stack_per_byte))
                 skb.dev = netdev
                 if sink is not None:
                     sink(netdev, skb)
@@ -1168,48 +1034,7 @@ def _build_compiled_intr(adapter):
                     rdt = i - 1 if i else rx_count - 1
                     rx_ring_d["rdt"] = rdt
                     rx_ring_dirty("rdt")
-                    # -- RDT write: inlined compiled accessor --
-                    pend_io_n += 1
-                    target = clock._now_ns + c_mmio
-                    if target < memo[0]:
-                        clock._now_ns = target
-                        pend_io_ns += c_mmio
-                    else:
-                        nxt = _FAR
-                        while heap:
-                            head = heap[0]
-                            if head.cancelled:
-                                _heappop(heap)
-                                continue
-                            nxt = head.time_ns
-                            break
-                        if wheel._live:
-                            front = wheel._front
-                            if front is None or front.wheel is not wheel:
-                                front = wheel_peek()
-                            if front is not None and front.time_ns < nxt:
-                                nxt = front.time_ns
-                        if nxt <= target:
-                            io.mmio_accesses += pend_io_n
-                            pend_io_n = 0
-                            if pend_io_ns:
-                                charge_cpu(pend_io_ns, "io")
-                                charge_acct(pend_io_ns, "io")
-                                pend_io_ns = 0
-                            if pend_stack_ns:
-                                charge_cpu(pend_stack_ns, "netstack")
-                                charge_acct(pend_stack_ns, "netstack")
-                                pend_stack_ns = 0
-                            consume(c_mmio, True, "io")
-                        else:
-                            memo[0] = nxt
-                            clock._now_ns = target
-                            pend_io_ns += c_mmio
-                    if not (wedged and rdt_addr in wedged):
-                        tap = io.trace_tap
-                        if tap is not None:
-                            tap("w", rname, rdt_off, 4, rdt)
-                        dev_write_rdt(rdt)
+                    write_rdt(rdt)
             rx_ring_d["next_to_clean"] = i
             rx_ring_dirty("next_to_clean")
             if cleaned:
@@ -1224,64 +1049,10 @@ def _build_compiled_intr(adapter):
                 rdt = i - 1 if i else rx_count - 1
                 rx_ring_d["rdt"] = rdt
                 rx_ring_dirty("rdt")
-                # -- final RDT write: inlined compiled accessor --
-                pend_io_n += 1
-                target = clock._now_ns + c_mmio
-                if target < memo[0]:
-                    clock._now_ns = target
-                    pend_io_ns += c_mmio
-                else:
-                    nxt = _FAR
-                    while heap:
-                        head = heap[0]
-                        if head.cancelled:
-                            _heappop(heap)
-                            continue
-                        nxt = head.time_ns
-                        break
-                    if wheel._live:
-                        front = wheel._front
-                        if front is None or front.wheel is not wheel:
-                            front = wheel_peek()
-                        if front is not None and front.time_ns < nxt:
-                            nxt = front.time_ns
-                    if nxt <= target:
-                        io.mmio_accesses += pend_io_n
-                        pend_io_n = 0
-                        if pend_io_ns:
-                            charge_cpu(pend_io_ns, "io")
-                            charge_acct(pend_io_ns, "io")
-                            pend_io_ns = 0
-                        if pend_stack_ns:
-                            charge_cpu(pend_stack_ns, "netstack")
-                            charge_acct(pend_stack_ns, "netstack")
-                            pend_stack_ns = 0
-                        consume(c_mmio, True, "io")
-                    else:
-                        memo[0] = nxt
-                        clock._now_ns = target
-                        pend_io_ns += c_mmio
-                if not (wedged and rdt_addr in wedged):
-                    tap = io.trace_tap
-                    if tap is not None:
-                        tap("w", rname, rdt_off, 4, rdt)
-                    dev_write_rdt(rdt)
+                write_rdt(rdt)
         if icr & TXDW:
             e1000_clean_tx_irq(adapter, tx_ring)
-        if pend_io_n:
-            io.mmio_accesses += pend_io_n
-        # Inlined charge pair: this flush runs once per interrupt, so
-        # the call overhead is worth trading for the raw counter ops.
-        if pend_io_ns:
-            agg._busy_ns += pend_io_ns
-            agg_cat["io"] = agg_cat.get("io", 0) + pend_io_ns
-            acct._busy_ns += pend_io_ns
-            acct_cat["io"] = acct_cat.get("io", 0) + pend_io_ns
-        if pend_stack_ns:
-            agg._busy_ns += pend_stack_ns
-            agg_cat["netstack"] = agg_cat.get("netstack", 0) + pend_stack_ns
-            acct._busy_ns += pend_stack_ns
-            acct_cat["netstack"] = acct_cat.get("netstack", 0) + pend_stack_ns
+        flush_io()
         return IRQ_HANDLED
 
     return intr

@@ -575,9 +575,12 @@ def _build_compiled_fastpath(dev, tp):
     per drain; the device-visible access sequence -- one CR read per
     iteration, one CAPR write per packet, the IMR restore / ring
     re-check on completion -- is byte-identical to the interpreted
-    loop, as is the error path (flush, then ``rtl8139_rx_err``).
+    loop, as is the error path (flush, then ``rtl8139_rx_err``).  The
+    one ``poll`` closure serves 1 and N CPUs: on SMP it drains into the
+    polling CPU's skb pool, and the accessors mirror consume's
+    CPU-targeted deferral.
     """
-    from ...kernel.fastpath import FastIo, _FAR
+    from ...kernel.fastpath import FastIo
     from ...kernel.netdev import SkBuff
 
     kernel = linux.kernel
@@ -697,223 +700,6 @@ def _build_compiled_fastpath(dev, tp):
                 napi_schedule(napi)
             flush_io()
         return received
-
-    if not smp:
-        # Single-CPU "descriptor run" variant: the two per-packet
-        # accessors (CR read, CAPR write) are inlined into the loop
-        # body -- no closure call, pending charge in plain locals --
-        # and the rx header decodes as byte arithmetic.  Observably
-        # identical to the closure variant above (which remains the
-        # SMP path, where accesses must route through the CPU-targeted
-        # deferral branch).
-        from ...kernel.fastpath import _heappop
-
-        io = kernel.io
-        clock = kernel.clock
-        events = kernel.events
-        heap = events._heap
-        wheel = events._wheel
-        wheel_peek = wheel.peek_event
-        memo = events.next_due_memo
-        consume = kernel.consume
-        wedged = io._wedged
-        charge_cpu = kernel.cpu.charge
-        charge_acct = kernel.current_cpu.acct.charge
-        c_io = kernel.costs.port_io_ns
-        cr_addr = ioaddr + CR
-        capr_addr = ioaddr + CAPR
-        region = io._find(cr_addr, 1, False)
-        handler = region.handler
-        rname = region.name
-        cr_off = cr_addr - region.base
-        capr_off = capr_addr - region.base
-        mk_r = getattr(handler, "reg_reader", None)
-        dev_read_cr = mk_r(cr_off, 1) if mk_r is not None else None
-        if dev_read_cr is None:
-            dev_read_cr = lambda: handler.read(cr_off, 1) & 0xFF  # noqa: E731
-        mk_w = getattr(handler, "reg_writer", None)
-        dev_write_capr = mk_w(capr_off, 2) if mk_w is not None else None
-        if dev_write_capr is None:
-            dev_write_capr = \
-                lambda v: handler.write(capr_off, v, 2)  # noqa: E731
-        pool = shared_pool
-        p_free = pool._free
-        p_skbs = pool._skbs
-        p_arena = pool._arena
-        p_buf_size = pool.buf_size
-        p_alloc = pool.alloc
-
-        def poll_fast(napi, budget):
-            sink = net.rx_sink
-            cur_rx = tp.cur_rx
-            received = 0
-            rx_bytes = 0
-            hits = 0
-            recycles = 0
-            err_status = None
-            pend_ns = 0
-            pend_n = 0
-            while True:
-                # -- CR read: inlined compiled accessor --
-                pend_n += 1
-                target = clock._now_ns + c_io
-                if target < memo[0]:
-                    clock._now_ns = target
-                    pend_ns += c_io
-                else:
-                    nxt = _FAR
-                    while heap:
-                        head = heap[0]
-                        if head.cancelled:
-                            _heappop(heap)
-                            continue
-                        nxt = head.time_ns
-                        break
-                    if wheel._live:
-                        front = wheel._front
-                        if front is None or front.wheel is not wheel:
-                            front = wheel_peek()
-                        if front is not None and front.time_ns < nxt:
-                            nxt = front.time_ns
-                    if nxt <= target:
-                        io.port_accesses += pend_n
-                        pend_n = 0
-                        if pend_ns:
-                            charge_cpu(pend_ns, "io")
-                            charge_acct(pend_ns, "io")
-                            pend_ns = 0
-                        consume(c_io, True, "io")
-                    else:
-                        memo[0] = nxt
-                        clock._now_ns = target
-                        pend_ns += c_io
-                if wedged and cr_addr in wedged:
-                    cr = wedged[cr_addr] & 0xFF
-                else:
-                    cr = dev_read_cr()
-                    tap = io.trace_tap
-                    if tap is not None:
-                        tap("r", rname, cr_off, 1, cr)
-                if cr & CR_BUFE:
-                    break
-                if received >= budget:
-                    break
-                offset = cur_rx - RX_RING_SIZE if cur_rx >= RX_RING_SIZE \
-                    else cur_rx
-                rx_status = ring[offset] | ring[offset + 1] << 8
-                if not rx_status & RX_STAT_ROK:
-                    err_status = rx_status
-                    break
-                rx_size = ring[offset + 2] | ring[offset + 3] << 8
-                pkt_size = rx_size - 4
-                # Inlined SkbPool.alloc hit path.
-                if p_free and pkt_size <= p_buf_size:
-                    slot = p_free.popleft()
-                    hits += 1
-                    skb = p_skbs[slot]
-                    if skb is None or len(skb.data) != pkt_size:
-                        base = slot * p_buf_size
-                        skb = SkBuff(p_arena[base:base + pkt_size], 0x0800)
-                        p_skbs[slot] = skb
-                    else:
-                        skb.protocol = 0x0800
-                    skb._pool = pool
-                    skb._slot = slot
-                else:
-                    skb = p_alloc(pkt_size)
-                data = skb.data
-                first = RX_RING_SIZE - (offset + 4)
-                if first >= pkt_size:
-                    data[0:pkt_size] = \
-                        ring_view[offset + 4:offset + 4 + pkt_size]
-                else:
-                    data[0:first] = ring_view[offset + 4:offset + 4 + first]
-                    data[first:pkt_size] = ring_view[0:pkt_size - first]
-                # Inlined netif_receive_skb.
-                skb.dev = dev
-                if sink is not None:
-                    sink(dev, skb)
-                pool_of_skb = skb._pool
-                if pool_of_skb is not None:
-                    skb._pool = None
-                    skb.dev = None  # no stale device ref in the slot cache
-                    if pool_of_skb is pool:
-                        recycles += 1
-                        p_free.append(skb._slot)
-                    else:
-                        pool_of_skb.recycles += 1
-                        pool_of_skb._free.append(skb._slot)
-                    skb._slot = -1
-                received += 1
-                rx_bytes += pkt_size
-                cur_rx = (offset + 4 + rx_size + 3) & ~3
-                value = (cur_rx - 16) & 0xFFFF
-                # -- CAPR write: inlined compiled accessor --
-                pend_n += 1
-                target = clock._now_ns + c_io
-                if target < memo[0]:
-                    clock._now_ns = target
-                    pend_ns += c_io
-                else:
-                    nxt = _FAR
-                    while heap:
-                        head = heap[0]
-                        if head.cancelled:
-                            _heappop(heap)
-                            continue
-                        nxt = head.time_ns
-                        break
-                    if wheel._live:
-                        front = wheel._front
-                        if front is None or front.wheel is not wheel:
-                            front = wheel_peek()
-                        if front is not None and front.time_ns < nxt:
-                            nxt = front.time_ns
-                    if nxt <= target:
-                        io.port_accesses += pend_n
-                        pend_n = 0
-                        if pend_ns:
-                            charge_cpu(pend_ns, "io")
-                            charge_acct(pend_ns, "io")
-                            pend_ns = 0
-                        consume(c_io, True, "io")
-                    else:
-                        memo[0] = nxt
-                        clock._now_ns = target
-                        pend_ns += c_io
-                if not (wedged and capr_addr in wedged):
-                    tap = io.trace_tap
-                    if tap is not None:
-                        tap("w", rname, capr_off, 2, value)
-                    dev_write_capr(value)
-            tp.cur_rx = cur_rx
-            if received:
-                stats.rx_packets += received
-                stats.rx_bytes += rx_bytes
-                dev_stats.rx_packets += received
-                dev_stats.rx_bytes += rx_bytes
-                net._rx_batch_packets += received
-                net._rx_batch_bytes += rx_bytes
-                pool.hits += hits
-                pool.recycles += recycles
-            if pend_n:
-                io.port_accesses += pend_n
-            if pend_ns:
-                charge_cpu(pend_ns, "io")
-                charge_acct(pend_ns, "io")
-            flush_io()
-            if err_status is not None:
-                rtl8139_rx_err(err_status, dev, tp)
-            if received < budget:
-                napi_complete(napi)
-                write_imr(INT_MASK)
-                if not read_cr() & CR_BUFE:
-                    write_imr(imr_no_rx)
-                    napi_schedule(napi)
-                flush_io()
-            return received
-
-        poll = poll_fast
 
     IRQ_NONE = linux.IRQ_NONE
     IRQ_HANDLED = linux.IRQ_HANDLED

@@ -5,7 +5,9 @@ drivers' rx/tx ring loops with per-ring pre-bound closures.  The
 contract is *observational identity*: for the same seeded workload
 schedule, both loop modes must produce byte-identical payload streams
 (per queue), identical device and stack counters, identical virtual
-time and CPU accounting, and an identical dmesg.
+time and CPU accounting (aggregate and per vCPU), an identical dmesg,
+and the identical register-access sequence: every access's (op,
+region, offset, size, value, virtual clock) through the io trace tap.
 
 Every config runs the deterministic netperf-recv generator through both
 modes and diffs a deep snapshot.  Configs cover both NICs, both
@@ -60,6 +62,15 @@ CONFIGS = [
 
 def _snapshot(make_rig, compiled):
     rig = make_rig(compiled)
+    kernel = rig.kernel
+    clock = kernel.clock
+    accesses = hashlib.sha256()
+
+    def tap(op, region, offset, size, value):
+        accesses.update(repr((op, region, offset, size, value,
+                              clock.now_ns)).encode())
+
+    kernel.io.trace_tap = tap
     rig.insmod()
     digests = {}
 
@@ -72,7 +83,6 @@ def _snapshot(make_rig, compiled):
 
     result = netperf_recv(rig, duration_s=DURATION_S, msg_bytes=MSG_BYTES,
                           sink_extra=sink_extra, burst=BURST)
-    kernel = rig.kernel
     dev = rig.netdev()
     return {
         "digests": {q: d.hexdigest() for q, d in sorted(digests.items())},
@@ -87,6 +97,12 @@ def _snapshot(make_rig, compiled):
         "clock_ns": kernel.clock.now_ns,
         "busy_ns": kernel.cpu.busy_ns,
         "by_category": dict(kernel.cpu._by_category),
+        "cpu_by_category": [dict(vcpu.acct._by_category)
+                            for vcpu in kernel.cpus],
+        "mmio_accesses": kernel.io.mmio_accesses,
+        "port_accesses": kernel.io.port_accesses,
+        "events_dispatched": kernel.events_dispatched,
+        "register_accesses": accesses.hexdigest(),
         "dmesg": list(kernel.dmesg()),
     }
 

@@ -157,8 +157,8 @@ def test_parked_process_event_blocks_memo_hit():
     kernel.consume(1)               # still atomic: stays parked
     assert ran == []
     kernel.context.preempt_enable()
-    # Derive the memo the way a FastIo access would: the next advance
-    # would be a memo hit, were nothing parked.
+    # Derive the memo by hand: the next advance would be a memo hit,
+    # were nothing parked.
     kernel.events.next_due_memo[0] = kernel.events.next_due_time()
     assert kernel.now_ns() + 1 < kernel.events.next_due_memo[0]
     kernel.consume(1)

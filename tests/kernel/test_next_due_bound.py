@@ -1,12 +1,12 @@
 """The compiled accessors' next-due bound and its one derivation.
 
 A ``FastIo`` accessor advances the clock directly while ``now + cost``
-lies before the event queue's ``next_due_memo``; on a miss it
-re-derives the bound through ``EventQueue.next_due_time`` (heap head
-past cancelled entries, against the timer wheel's front) and only
-falls back to ``Kernel.consume`` when an event is due.  These cases pin
-the edges of that shortcut.  ``Kernel.consume`` is the memo's second
-user, with the same check on every advance; its edges are pinned in
+lies before the event queue's ``next_due_memo``; on a miss it flushes
+its batch and calls ``Kernel.consume``, which re-derives the bound
+through ``EventQueue.next_due_time`` (heap head past cancelled entries,
+against the timer wheel's front) and dispatches only when an event is
+due.  These cases pin the edges of that shortcut.  ``consume`` makes
+the same check on every advance; its own edges are pinned in
 ``test_consume_shortcut.py``.
 """
 
